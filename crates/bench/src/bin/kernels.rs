@@ -1,5 +1,7 @@
 //! Kernel microbenchmarks: sparse dot products, CSR row scoring, DCD/SGD
-//! training epochs — scalar reference vs the shared-storage/CSR paths.
+//! training epochs, kernel-SVM rows — scalar reference vs the
+//! shared-storage/CSR/postings paths. Panics (non-zero exit) if a postings
+//! kernel row differs from per-vector `Kernel::eval` in any bit.
 //!
 //! Usage:
 //! ```text

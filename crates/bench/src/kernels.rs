@@ -14,7 +14,13 @@
 //! * `dcd_cold_train` — one cold one-vs-all DCD fit, `&[SparseVector]` vs the
 //!   shared-context CSR path;
 //! * `sgd_warm_epochs` — the warm-start SGD refit (pure SGD epochs), slice vs
-//!   CSR.
+//!   CSR;
+//! * `kernel_row` — one query's kernel row over a set of support vectors,
+//!   one merge-join [`ml::Kernel::eval`] per vector vs one
+//!   [`ml::batch::BatchKernelScorer`] pass over the query's nonzeros through
+//!   inverted postings. [`measure`] first checks that the two rows agree bit
+//!   for bit under every kernel and panics if they do not, so the `--quick`
+//!   CI run gates the equivalence.
 //!
 //! The binary writes `BENCH_kernels.json`; `EXPERIMENTS.md` §K1 records a
 //! captured run. Both sides of every comparison compute bit-identical
@@ -23,11 +29,14 @@
 
 use crate::throughput::{pooled_training_set, throughput_spec, throughput_split};
 use dataset::CorpusGenerator;
+use ml::batch::BatchKernelScorer;
 use ml::multilabel::OneVsAllTrainer;
-use ml::svm::{BinaryClassifier, CsrLinearTrainer, LinearSvmTrainer};
-use ml::MultiLabelDataset;
+use ml::svm::{BinaryClassifier, CsrLinearTrainer, KernelSvm, LinearSvmTrainer, SupportVector};
+use ml::{Kernel, MultiLabelDataset};
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
+use textproc::SparseVector;
 
 /// One microbenchmark row: a kernel timed on the scalar reference and (when
 /// a shared-storage variant exists) on the fast path.
@@ -221,6 +230,88 @@ pub fn measure(num_users: usize, seed: u64) -> (Vec<KernelRow>, usize, f64) {
         fast_ns_per_op: Some(csr_secs * 1e9 / tags.len().max(1) as f64),
     });
 
+    // kernel_row: the distinct even documents are support vectors, the odd
+    // ones queries; per-vector Kernel::eval vs the postings row. The scorer
+    // merges bit-identical vectors into one row, so duplicates are dropped
+    // here too and row `i` lines up with `svs[i]`.
+    let mut seen = BTreeSet::new();
+    let svs: Vec<&SparseVector> = xs
+        .iter()
+        .step_by(2)
+        .filter(|v| {
+            let bits: Vec<u64> = v.values().iter().map(|x| x.to_bits()).collect();
+            seen.insert((v.indices().to_vec(), bits))
+        })
+        .collect();
+    let queries: Vec<&SparseVector> = xs.iter().skip(1).step_by(2).collect();
+    let scorer_for = |kernel: Kernel| {
+        let support = svs
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| SupportVector {
+                vector: v.clone(),
+                label: i % 2 == 0,
+                alpha: 1.0,
+            })
+            .collect();
+        let model = KernelSvm::from_support_vectors(support, 0.0, kernel);
+        BatchKernelScorer::from_classifiers([(0, &model)])
+    };
+    let mut row = Vec::new();
+    for kernel in [
+        Kernel::Linear,
+        Kernel::default(),
+        Kernel::Polynomial {
+            gamma: 0.5,
+            coef0: 1.0,
+            degree: 3,
+        },
+    ] {
+        let scorer = scorer_for(kernel);
+        assert_eq!(scorer.num_unique_vectors(), svs.len());
+        for x in &queries {
+            scorer.kernel_row_into(x, &mut row);
+            for (&k, sv) in row.iter().zip(&svs) {
+                assert_eq!(
+                    k.to_bits(),
+                    kernel.eval(sv, x).to_bits(),
+                    "kernel_row: postings row differs from Kernel::eval under {kernel:?}"
+                );
+            }
+        }
+    }
+    let kernel = Kernel::default();
+    let scorer = scorer_for(kernel);
+    let row_reps = 20usize;
+    let ops = row_reps * queries.len();
+    let scalar_secs = time(|| {
+        let mut acc = 0.0;
+        for _ in 0..row_reps {
+            for x in &queries {
+                for sv in &svs {
+                    acc += kernel.eval(sv, x);
+                }
+            }
+        }
+        acc
+    });
+    let postings_secs = time(|| {
+        let mut acc = 0.0;
+        for _ in 0..row_reps {
+            for x in &queries {
+                scorer.kernel_row_into(x, &mut row);
+                acc += row.iter().sum::<f64>();
+            }
+        }
+        acc
+    });
+    rows.push(KernelRow {
+        op: "kernel_row",
+        ops,
+        scalar_ns_per_op: scalar_secs * 1e9 / ops.max(1) as f64,
+        fast_ns_per_op: Some(postings_secs * 1e9 / ops.max(1) as f64),
+    });
+
     (rows, n, avg_nnz)
 }
 
@@ -267,7 +358,7 @@ mod tests {
     #[test]
     fn measure_reports_every_kernel_with_positive_times() {
         let (rows, docs, avg_nnz) = measure(4, 7);
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 6);
         assert!(docs > 0);
         assert!(avg_nnz > 0.0);
         for r in &rows {
@@ -281,5 +372,6 @@ mod tests {
         let json = to_json(&rows, docs, avg_nnz, 4, 7);
         assert!(json.contains("\"dcd_cold_train\""));
         assert!(json.contains("\"sgd_warm_epochs\""));
+        assert!(json.contains("\"kernel_row\""));
     }
 }

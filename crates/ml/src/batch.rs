@@ -18,6 +18,8 @@
 //!   ensembles: the kernel row `K(sv, x)` is computed **once per distinct
 //!   support vector** and shared by every tag that retains that vector,
 //!   hoisting the (expensive) kernel evaluations out of the per-tag loop.
+//!   The row's dot products come from inverted postings over the support
+//!   vectors' features, so a query touches only its own nonzeros.
 //!
 //! # Equivalence contract
 //!
@@ -334,16 +336,40 @@ impl KernelRowKey {
 /// The scalar path evaluates `K(sv, x)` once per (tag, support vector); in a
 /// cascade the same document vectors survive as support vectors of many tags,
 /// so the kernel row is recomputed per tag. This scorer stores each distinct
-/// `(kernel, support vector)` once, evaluates the kernel row once per query,
-/// and lets every tag read its terms from the shared row.
+/// `(kernel, support vector)` once as a *row* and lets every tag read its
+/// terms from the shared kernel row.
+///
+/// The rows are stored as inverted postings, built once per scorer:
+/// feature `j` lists `(row, value)` for every row with a nonzero on `j`, in
+/// ascending row order, next to each row's cached `‖sv‖²`. A query walks only
+/// its own nonzeros, scattering `value · x_j` into per-row dot products, then
+/// applies each row's kernel to its finished dot product. Every row's dot
+/// product receives its terms in ascending feature order, starting from
+/// `0.0` — the same additions, in the same order, as the merge-join
+/// [`SparseVector::dot`] — so the kernel row is bit-identical to per-vector
+/// [`Kernel::eval`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchKernelScorer {
     tags: Vec<TagId>,
     biases: Vec<f64>,
-    /// Per tag slot: `(unique_row_index, alpha · y)` in original SV order.
+    /// Per tag slot: `(row, alpha · y)` in original SV order.
     terms: Vec<Vec<(u32, f64)>>,
-    /// Distinct (kernel, support vector) pairs.
-    unique: Vec<(Kernel, SparseVector)>,
+    /// Per row: its kernel and the support vector's squared norm.
+    rows: Vec<(Kernel, f64)>,
+    /// The features some support vector has, ascending. Postings are keyed
+    /// by position in this list, so memory is O(nnz) whatever the indices.
+    features: Vec<u32>,
+    /// `direct[j]` is feature `j`'s position in `features`, or `u32::MAX`
+    /// if no support vector has it. It spans at most four slots per
+    /// posting, which covers a vocabulary's indices while a huge index in
+    /// a peer's model cannot inflate it; larger features are found by
+    /// binary search in `features`.
+    direct: Vec<u32>,
+    /// `post_ptr[f]..post_ptr[f + 1]` delimits `features[f]`'s postings in
+    /// the parallel `post_row` / `post_value` arrays.
+    post_ptr: Vec<u32>,
+    post_row: Vec<u32>,
+    post_value: Vec<f64>,
 }
 
 impl BatchKernelScorer {
@@ -355,7 +381,8 @@ impl BatchKernelScorer {
         let mut tags = Vec::new();
         let mut biases = Vec::new();
         let mut terms: Vec<Vec<(u32, f64)>> = Vec::new();
-        let mut unique: Vec<(Kernel, SparseVector)> = Vec::new();
+        let mut rows: Vec<(Kernel, f64)> = Vec::new();
+        let mut vectors: Vec<&SparseVector> = Vec::new();
         let mut seen: HashMap<KernelRowKey, u32> = HashMap::new();
         for (tag, model) in classifiers {
             if let Some(&last) = tags.last() {
@@ -367,20 +394,56 @@ impl BatchKernelScorer {
             let mut tag_terms = Vec::with_capacity(model.num_support_vectors());
             for sv in model.support_vectors() {
                 let key = KernelRowKey::new(kernel, &sv.vector);
-                let idx = *seen.entry(key).or_insert_with(|| {
-                    unique.push((kernel, sv.vector.clone()));
-                    (unique.len() - 1) as u32
+                let row = *seen.entry(key).or_insert_with(|| {
+                    rows.push((kernel, sv.vector.norm_sq()));
+                    vectors.push(&sv.vector);
+                    (rows.len() - 1) as u32
                 });
                 let y = if sv.label { 1.0 } else { -1.0 };
-                tag_terms.push((idx, sv.alpha * y));
+                tag_terms.push((row, sv.alpha * y));
             }
             terms.push(tag_terms);
         }
+        // Every (feature, row, value) entry, stably sorted by feature. Rows
+        // are pushed in ascending order, so each feature's postings come out
+        // sorted by row.
+        let mut entries: Vec<(u32, u32, f64)> = vectors
+            .iter()
+            .enumerate()
+            .flat_map(|(row, v)| v.iter().map(move |(j, value)| (j, row as u32, value)))
+            .collect();
+        entries.sort_by_key(|&(j, _, _)| j);
+        let mut features = Vec::new();
+        let mut post_ptr = Vec::new();
+        for (e, &(j, _, _)) in entries.iter().enumerate() {
+            if features.last() != Some(&j) {
+                features.push(j);
+                post_ptr.push(e as u32);
+            }
+        }
+        post_ptr.push(entries.len() as u32);
+        let direct_len = features
+            .last()
+            .map_or(0, |&j| j as usize + 1)
+            .min(4 * entries.len());
+        let mut direct = vec![u32::MAX; direct_len];
+        for (f, &j) in features.iter().enumerate() {
+            if let Some(slot) = direct.get_mut(j as usize) {
+                *slot = f as u32;
+            }
+        }
+        let post_row = entries.iter().map(|&(_, row, _)| row).collect();
+        let post_value = entries.iter().map(|&(_, _, value)| value).collect();
         Self {
             tags,
             biases,
             terms,
-            unique,
+            rows,
+            features,
+            direct,
+            post_ptr,
+            post_row,
+            post_value,
         }
     }
 
@@ -397,13 +460,39 @@ impl BatchKernelScorer {
     /// Number of distinct support vectors shared across all tags (versus
     /// [`Self::total_terms`] scalar kernel evaluations without sharing).
     pub fn num_unique_vectors(&self) -> usize {
-        self.unique.len()
+        self.rows.len()
     }
 
     /// Total number of (tag, support-vector) terms — the number of kernel
     /// evaluations the scalar path performs per query.
     pub fn total_terms(&self) -> usize {
         self.terms.iter().map(Vec::len).sum()
+    }
+
+    /// Writes the kernel row `K(sv_r, x)` for every distinct support vector
+    /// `r` into `row`, bit-identical to evaluating [`Kernel::eval`] per row.
+    pub fn kernel_row_into(&self, x: &SparseVector, row: &mut Vec<f64>) {
+        row.clear();
+        row.resize(self.rows.len(), 0.0);
+        for (j, xj) in x.iter() {
+            let f = match self.direct.get(j as usize) {
+                Some(&f) if f != u32::MAX => f as usize,
+                Some(_) => continue,
+                None => match self.features.binary_search(&j) {
+                    Ok(f) => f,
+                    Err(_) => continue,
+                },
+            };
+            let lo = self.post_ptr[f] as usize;
+            let hi = self.post_ptr[f + 1] as usize;
+            for (&r, &value) in self.post_row[lo..hi].iter().zip(&self.post_value[lo..hi]) {
+                row[r as usize] += value * xj;
+            }
+        }
+        let x_norm_sq = x.norm_sq();
+        for (k, &(kernel, sv_norm_sq)) in row.iter_mut().zip(&self.rows) {
+            *k = kernel.eval_from_dot(*k, sv_norm_sq, x_norm_sq);
+        }
     }
 
     /// Evaluates the shared kernel row once, then reduces per tag. Returns
@@ -414,11 +503,8 @@ impl BatchKernelScorer {
     /// [`crate::svm::BinaryClassifier::decision`] of [`KernelSvm`] does, so the
     /// decisions are identical to the scalar path's.
     pub fn decisions(&self, x: &SparseVector) -> Vec<(TagId, f64)> {
-        let row: Vec<f64> = self
-            .unique
-            .iter()
-            .map(|(kernel, sv)| kernel.eval(sv, x))
-            .collect();
+        let mut row = Vec::new();
+        self.kernel_row_into(x, &mut row);
         self.tags
             .iter()
             .zip(self.terms.iter().zip(&self.biases))
@@ -561,27 +647,22 @@ mod tests {
             label,
             alpha,
         };
-        let m1 = KernelSvm::from_support_vectors(
-            vec![sv(&v1, true, 0.5), sv(&v2, false, 0.25)],
-            0.1,
-            Kernel::Linear,
-        );
-        let m2 = KernelSvm::from_support_vectors(
-            vec![sv(&v2, true, 1.0), sv(&v1, false, 0.75)],
-            -0.2,
-            Kernel::Linear,
-        );
-        let models = BTreeMap::from([(3u32, m1), (8u32, m2)]);
-        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
-        assert_eq!(scorer.total_terms(), 4);
-        assert_eq!(scorer.num_unique_vectors(), 2);
-        let probe = sparse(&[(0, 0.3), (1, 0.6)]);
-        for (tag, decision) in scorer.decisions(&probe) {
-            assert_eq!(
-                decision.to_bits(),
-                models[&tag].decision(&probe).to_bits(),
-                "tag {tag}"
+        for kernel in ALL_KERNELS {
+            let m1 = KernelSvm::from_support_vectors(
+                vec![sv(&v1, true, 0.5), sv(&v2, false, 0.25)],
+                0.1,
+                kernel,
             );
+            let m2 = KernelSvm::from_support_vectors(
+                vec![sv(&v2, true, 1.0), sv(&v1, false, 0.75)],
+                -0.2,
+                kernel,
+            );
+            let models = BTreeMap::from([(3u32, m1), (8u32, m2)]);
+            let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+            assert_eq!(scorer.total_terms(), 4);
+            assert_eq!(scorer.num_unique_vectors(), 2);
+            assert_bit_identical(&models, &sparse(&[(0, 0.3), (1, 0.6)]));
         }
     }
 
@@ -635,6 +716,145 @@ mod tests {
         })
     }
 
+    /// Any of the three kernels, with random parameters.
+    fn arb_kernel() -> impl Strategy<Value = Kernel> {
+        (0u8..3, 0.05f64..2.0, -1.0f64..1.0, 1u32..4).prop_map(|(kind, gamma, coef0, degree)| {
+            match kind {
+                0 => Kernel::Linear,
+                1 => Kernel::Rbf { gamma },
+                _ => Kernel::Polynomial {
+                    gamma,
+                    coef0,
+                    degree,
+                },
+            }
+        })
+    }
+
+    /// Two tags sampling overlapping subsets of one SV pool (every SV for
+    /// tag 1, every other SV for tag 2), as a cascade produces.
+    fn shared_pool_models(
+        svs: Vec<(SparseVector, bool, f64)>,
+        kernel: Kernel,
+    ) -> BTreeMap<TagId, KernelSvm> {
+        let pool: Vec<SupportVector> = svs
+            .into_iter()
+            .map(|(vector, label, alpha)| SupportVector {
+                vector,
+                label,
+                alpha,
+            })
+            .collect();
+        let take =
+            |step: usize| -> Vec<SupportVector> { pool.iter().step_by(step).cloned().collect() };
+        let m1 = KernelSvm::from_support_vectors(take(1), 0.3, kernel);
+        let m2 = KernelSvm::from_support_vectors(take(2), -0.1, kernel);
+        BTreeMap::from([(1u32, m1), (2u32, m2)])
+    }
+
+    /// Asserts that the batched decisions equal every scalar
+    /// `KernelSvm::decision` bit for bit, in ascending tag order.
+    fn assert_bit_identical(models: &BTreeMap<TagId, KernelSvm>, x: &SparseVector) {
+        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        let batched = scorer.decisions(x);
+        assert_eq!(batched.len(), models.len());
+        for ((tag, decision), (&scalar_tag, model)) in batched.into_iter().zip(models) {
+            assert_eq!(tag, scalar_tag);
+            assert_eq!(
+                decision.to_bits(),
+                model.decision(x).to_bits(),
+                "tag {tag} under {:?}",
+                model.kernel()
+            );
+        }
+    }
+
+    const ALL_KERNELS: [Kernel; 3] = [
+        Kernel::Linear,
+        Kernel::Rbf { gamma: 0.8 },
+        Kernel::Polynomial {
+            gamma: 0.5,
+            coef0: 1.0,
+            degree: 3,
+        },
+    ];
+
+    fn edge_case_pool() -> Vec<(SparseVector, bool, f64)> {
+        vec![
+            (sparse(&[(0, 0.6), (3, -0.4)]), true, 0.7),
+            (sparse(&[(1, 1.1), (3, 0.25), (7, -0.9)]), false, 1.3),
+            (sparse(&[(0, -0.2), (7, 0.5)]), true, 0.4),
+        ]
+    }
+
+    #[test]
+    fn kernel_scorer_is_bit_identical_on_edge_queries() {
+        for kernel in ALL_KERNELS {
+            let models = shared_pool_models(edge_case_pool(), kernel);
+            // Features 2, 5 and 40 appear in no support vector.
+            assert_bit_identical(&models, &sparse(&[(2, 0.9), (5, -1.0), (40, 0.3)]));
+            // Mixed: some shared features, some unseen, one past the end.
+            assert_bit_identical(&models, &sparse(&[(0, 0.5), (2, 0.1), (7, 1.0), (99, 2.0)]));
+            assert_bit_identical(&models, &SparseVector::new());
+        }
+    }
+
+    #[test]
+    fn empty_kernel_scorer_scores_nothing() {
+        let scorer = BatchKernelScorer::from_classifiers(std::iter::empty());
+        assert_eq!(scorer.num_tags(), 0);
+        assert_eq!(scorer.num_unique_vectors(), 0);
+        assert!(scorer.decisions(&sparse(&[(0, 1.0)])).is_empty());
+        assert!(scorer.scores(&SparseVector::new()).is_empty());
+        // A tag whose model has no support vectors decides by its bias alone.
+        let bias_only = BTreeMap::from([(
+            4u32,
+            KernelSvm::from_support_vectors(Vec::new(), 0.25, Kernel::Linear),
+        )]);
+        assert_bit_identical(&bias_only, &sparse(&[(0, 1.0)]));
+    }
+
+    #[test]
+    fn kernel_scorer_memory_follows_nonzeros_not_indices() {
+        use crate::codec::{decode_kernel_svm, encode_kernel_svm, ByteReader, WeightPrecision};
+        // A model as a peer frame may carry it: one support vector sits at
+        // the largest index the wire format can express.
+        let sent = KernelSvm::from_support_vectors(
+            vec![
+                SupportVector {
+                    vector: sparse(&[(3, 1.0), (u32::MAX, 2.0)]),
+                    label: true,
+                    alpha: 0.5,
+                },
+                SupportVector {
+                    vector: sparse(&[(3, -1.0)]),
+                    label: false,
+                    alpha: 0.25,
+                },
+            ],
+            0.1,
+            Kernel::Rbf { gamma: 0.5 },
+        );
+        let mut buf = Vec::new();
+        encode_kernel_svm(&sent, WeightPrecision::F64, &mut buf);
+        let model = decode_kernel_svm(&mut ByteReader::new(&buf)).unwrap();
+        assert_eq!(model.support_vectors()[0].vector.indices(), &[3, u32::MAX]);
+        let models = BTreeMap::from([(0u32, model)]);
+        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        assert_eq!(scorer.features, [3, u32::MAX]);
+        assert_eq!(scorer.post_ptr, [0, 2, 3]);
+        assert_eq!(scorer.post_row.len(), 3);
+        // Four slots per posting; u32::MAX is found by binary search.
+        assert_eq!(scorer.direct.len(), 12);
+        for x in [
+            sparse(&[(3, 0.5), (u32::MAX, 1.0)]),
+            sparse(&[(5, 1.0), (20, 1.0), (u32::MAX - 1, 1.0)]),
+            sparse(&[(0, 1.0), (3, 2.0)]),
+        ] {
+            assert_bit_identical(&models, &x);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -657,24 +877,15 @@ mod tests {
         #[test]
         fn kernel_equivalence_property(
             svs in prop::collection::vec(
-                (arb_sparse(12, 6), any::<bool>(), 0.01f64..2.0),
-                1..10,
+                (arb_sparse(24, 8), any::<bool>(), 0.01f64..2.0),
+                0..12,
             ),
-            x in arb_sparse(12, 8),
+            // Queries may reach past every support vector's last feature.
+            x in arb_sparse(32, 10),
+            kernel in arb_kernel(),
         ) {
-            // Two tags sampling overlapping subsets of the same SV pool, as a
-            // cascade produces.
-            let pool: Vec<SupportVector> = svs
-                .into_iter()
-                .map(|(vector, label, alpha)| SupportVector { vector, label, alpha })
-                .collect();
-            let take = |step: usize| -> Vec<SupportVector> {
-                pool.iter().step_by(step).cloned().collect()
-            };
-            let kernel = Kernel::Rbf { gamma: 0.8 };
-            let m1 = KernelSvm::from_support_vectors(take(1), 0.3, kernel);
-            let m2 = KernelSvm::from_support_vectors(take(2), -0.1, kernel);
-            let models = BTreeMap::from([(1u32, m1), (2u32, m2)]);
+            let models = shared_pool_models(svs, kernel);
+            assert_bit_identical(&models, &x);
             let scorer =
                 BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
             let scalar = OneVsAllModel::from_classifiers(models, 0.0, 1);

@@ -46,6 +46,24 @@ impl Kernel {
         }
     }
 
+    /// `K(sv, x)` from its parts: `dot = sv · x` and the squared norms of
+    /// both vectors (read only by RBF). When `dot` is accumulated in
+    /// ascending feature order, as [`SparseVector::dot`] does, the result is
+    /// bit-identical to `self.eval(sv, x)`: RBF evaluates the same
+    /// `‖sv‖² + ‖x‖² − 2·dot` expression as [`SparseVector::distance_sq`].
+    #[inline]
+    pub(crate) fn eval_from_dot(&self, dot: f64, sv_norm_sq: f64, x_norm_sq: f64) -> f64 {
+        match *self {
+            Kernel::Linear => dot,
+            Kernel::Rbf { gamma } => (-gamma * (sv_norm_sq + x_norm_sq - 2.0 * dot).max(0.0)).exp(),
+            Kernel::Polynomial {
+                gamma,
+                coef0,
+                degree,
+            } => (gamma * dot + coef0).powi(degree as i32),
+        }
+    }
+
     /// A human-readable name for logs and experiment tables.
     pub fn name(&self) -> &'static str {
         match self {

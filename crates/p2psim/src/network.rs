@@ -408,19 +408,24 @@ impl P2PNetwork {
 
     fn sync_overlay_membership(&mut self) {
         let now = self.now;
+        let mut changes = Vec::new();
         for i in 0..self.config.num_peers {
             let p = PeerId::from(i);
             let online = self.churn.is_online(p, now);
             self.online.set(p, online);
             let member = self.overlay.contains(p);
             if online && !member {
-                self.overlay.add_peer(p);
+                changes.push((p, true));
                 self.log.log(now, Some(p), "join", "peer joined overlay");
             } else if !online && member {
-                self.overlay.remove_peer(p);
+                changes.push((p, false));
                 self.log.log(now, Some(p), "leave", "peer left overlay");
             }
         }
+        // One batch per sync: an epoch of churn at tens of thousands of
+        // peers moves thousands of members, and a shift of the Chord ring
+        // per change would make the step quadratic.
+        self.overlay.apply_membership(&changes);
     }
 }
 

@@ -75,6 +75,20 @@ pub trait Overlay {
 
     /// Removes a peer from the overlay (leave/failure).
     fn remove_peer(&mut self, peer: PeerId);
+
+    /// Applies a batch of membership changes in order: `(peer, true)` joins,
+    /// `(peer, false)` leaves. Equivalent to calling [`Self::add_peer`] /
+    /// [`Self::remove_peer`] one change at a time, which is the default;
+    /// overlays whose state depends only on the final member set may batch.
+    fn apply_membership(&mut self, changes: &[(PeerId, bool)]) {
+        for &(peer, join) in changes {
+            if join {
+                self.add_peer(peer);
+            } else {
+                self.remove_peer(peer);
+            }
+        }
+    }
 }
 
 /// An overlay chosen at runtime (used by the network facade and `SimConfig`).
@@ -133,6 +147,13 @@ impl Overlay for AnyOverlay {
         match self {
             AnyOverlay::Chord(o) => o.remove_peer(peer),
             AnyOverlay::Unstructured(o) => o.remove_peer(peer),
+        }
+    }
+
+    fn apply_membership(&mut self, changes: &[(PeerId, bool)]) {
+        match self {
+            AnyOverlay::Chord(o) => o.apply_membership(changes),
+            AnyOverlay::Unstructured(o) => o.apply_membership(changes),
         }
     }
 }
